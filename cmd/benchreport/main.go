@@ -5,10 +5,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchreport [-out BENCH_10.json] [-bench regexp] [-benchtime 2s] [-count 1] [-soak 2s]
-//	go run ./cmd/benchreport -cpus 1,2,4                 # multicore lanes
-//	go run ./cmd/benchreport -scale '<scenario>' -scale-fanout 4
+//	go run ./cmd/benchreport -out BENCH_<n>.json [-bench regexp] [-benchtime 2s] [-count 1] [-soak 2s]
+//	go run ./cmd/benchreport -out new.json -cpus 1,2,4   # multicore lanes
+//	go run ./cmd/benchreport -out new.json -scale '<scenario>' -scale-fanout 4
 //	go run ./cmd/benchreport -compare old.json new.json  # diff two snapshots
+//
+// -out is required outside -compare mode: without it benchreport
+// prints its usage and exits 2, so a bare run can never overwrite a
+// committed snapshot.
 //
 // The default benchmark set covers the per-invocation decision
 // pipeline the §5.3 overhead study cares about (simulator, policy,
@@ -109,7 +113,7 @@ var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 func main() {
-	out := flag.String("out", "BENCH_10.json", "output file")
+	out := flag.String("out", "", "output file (required outside -compare mode)")
 	bench := flag.String("bench", defaultBenchRegexp, "benchmark regexp passed to go test")
 	benchtime := flag.String("benchtime", "2s", "per-benchmark time")
 	count := flag.Int("count", 1, "benchmark repetitions (minimum ns/op is kept)")
@@ -140,6 +144,11 @@ func main() {
 			os.Exit(2)
 		}
 		os.Exit(runCompare(*compare, rest[0], *thr, *form))
+	}
+	if *out == "" {
+		fmt.Fprintln(os.Stderr, "benchreport: -out is required")
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	laneCPUs, err := parseCPUList(*cpus)

@@ -88,6 +88,20 @@ type engine struct {
 	// at fixed per-node density (pinned by TestStreamingWalkMemory).
 	walkLive atomic.Int64
 	walkPeak atomic.Int64
+	// arrivalPeak is the largest arrival heap any shard held, in
+	// entries: one per app with invocations, never one per invocation
+	// (pinned by TestArrivalHeapMemory).
+	arrivalPeak atomic.Int64
+}
+
+// storeMax raises p to v if v is larger.
+func storeMax(p *atomic.Int64, v int64) {
+	for {
+		old := p.Load()
+		if v <= old || p.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }
 
 func simulate(ctx context.Context, tr *trace.Trace, pol policy.Policy, cfg Config) (*Result, error) {
@@ -204,13 +218,7 @@ func (e *engine) produceWalk(ai int32, sc *kernel.Scratch, wk *appWalk) {
 	st.walk = wk
 	st.cur.Reset(wk.runs)
 	if b := wk.bytes(); b > 0 {
-		live := e.walkLive.Add(b)
-		for {
-			p := e.walkPeak.Load()
-			if live <= p || e.walkPeak.CompareAndSwap(p, live) {
-				break
-			}
-		}
+		storeMax(&e.walkPeak, e.walkLive.Add(b))
 	}
 }
 
@@ -327,37 +335,37 @@ func (e *engine) preassign() {
 	}
 }
 
-// runGlobal drives every node on one sequential shard holding the
-// whole merged invocation stream — the only schedule under which a
+// runGlobal drives every node on one sequential shard whose arrival
+// heap spans every app — the only schedule under which a
 // view-dependent placement's residency reads are well-defined.
 func (e *engine) runGlobal(ctx context.Context) error {
-	total := 0
-	for ai := range e.states {
-		total += len(e.states[ai].walk.times)
+	return e.globalShard().timeline(ctx)
+}
+
+// globalShard builds runGlobal's shard: the all-apps arrival heap and
+// the timed cluster events, queued up front. cevent.app carries the
+// event's Config.Events index, so equal-time events pop in spec order.
+// Events past the horizon cannot be observed.
+func (e *engine) globalShard() *shard {
+	apps := make([]int32, len(e.states))
+	for ai := range apps {
+		apps[ai] = int32(ai)
 	}
-	sh := shard{e: e, invs: make([]inv, 0, total)}
-	for ai := range e.states {
-		for _, t := range e.states[ai].walk.times {
-			sh.invs = append(sh.invs, inv{t: t, app: int32(ai)})
-		}
-	}
-	sortInvs(sh.invs)
-	// Timed cluster events enter the queue up front; cevent.app carries
-	// the event's Config.Events index, so equal-time events pop in
-	// spec order. Events past the horizon cannot be observed.
+	sh := &shard{e: e}
+	sh.seedArrivals(apps)
 	for idx, ev := range e.cfg.Events {
 		if ev.At <= e.horizon {
 			sh.pushEvent(cevent{t: ev.At, kind: evCluster, app: int32(idx)})
 		}
 	}
-	return sh.timeline(ctx)
+	return sh
 }
 
 // runSharded is the oblivious-placement fast path: every app is
 // pre-assigned and each node's timeline runs to completion
 // independently, workerCount at a time. Walks are produced per node
-// just in time — a worker computes its current node's walks, buckets
-// and sorts that node's invocation stream, replays the timeline, and
+// just in time — a worker computes its current node's walks, seeds the
+// arrival heap with one cursor per app, replays the timeline, and
 // releases the walks before stealing the next node. Only
 // O(workers × apps-per-node) walks are ever live, instead of O(apps);
 // everything else (assignment, per-app results) stays O(apps) scalars.
@@ -410,22 +418,11 @@ func (e *engine) runSharded(ctx context.Context) error {
 					walks = make([]appWalk, len(apps))
 				}
 				walks = walks[:len(apps)]
-				total := 0
 				for wi, ai := range apps {
 					e.produceWalk(ai, &sc, &walks[wi])
-					total += len(walks[wi].times)
 				}
-				sh.invs = sh.invs[:0]
-				if cap(sh.invs) < total {
-					sh.invs = make([]inv, 0, total)
-				}
-				for wi, ai := range apps {
-					for _, t := range walks[wi].times {
-						sh.invs = append(sh.invs, inv{t: t, app: ai})
-					}
-				}
-				sortInvs(sh.invs)
 				sh.reset()
+				sh.seedArrivals(apps)
 				errs[n] = sh.timeline(ctx)
 				e.releaseWalks(apps)
 			}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"math"
-	"slices"
 
 	"repro/internal/sim/kernel"
 )
@@ -18,7 +17,7 @@ import (
 const (
 	evCluster = iota // Config.Events incident; app = event index, gen-free
 	evReload
-	evInvoke // implicit: the merged invocation stream, never heaped
+	evInvoke // implicit: the shard's arrival heap (one cursor per app), never queued
 	evUnload
 	evFlush // drained container's execution ended; app = flush index, gen-free
 )
@@ -41,8 +40,9 @@ type drainFlush struct {
 	memMB float64
 }
 
-// inv is one invocation in a shard's merged stream.
-type inv struct {
+// arrival is one app's cursor in a shard's arrival heap: the app's
+// next invocation time (walk.times[inv]) and its index.
+type arrival struct {
 	t   float64
 	app int32
 }
@@ -57,16 +57,16 @@ type victimEntry struct {
 	vix      uint32
 }
 
-// shard drives one slice of the cluster: a merged invocation stream
-// and the container-event queue for the apps on its nodes. The sharded
-// (oblivious-placement) path runs one shard per node; the global
-// (view-dependent) path runs a single shard spanning every node. All
-// per-node mechanics below are identical on both paths — only the
-// event interleaving across nodes differs, and that interleaving is
-// unobservable node-locally.
+// shard drives one slice of the cluster: an arrival heap merging the
+// per-app invocation cursors of the apps on its nodes, and their
+// container-event queue. The sharded (oblivious-placement) path runs
+// one shard per node; the global (view-dependent) path runs a single
+// shard spanning every app. All per-node mechanics below are identical
+// on both paths — only the event interleaving across nodes differs,
+// and that interleaving is unobservable node-locally.
 type shard struct {
 	e       *engine
-	invs    []inv
+	arr     []arrival     // min-heap on (t, app): one cursor per app with arrivals left
 	q       eventQueue    // timer-wheel container-event queue (wheel.go)
 	skip    []victimEntry // pickVictim scratch: executing containers set aside
 	flushes []drainFlush  // pending drain-outs, indexed by evFlush events
@@ -79,33 +79,16 @@ func (s *shard) reset() {
 	s.q.reset()
 }
 
-// sortInvs orders a merged invocation stream by (time, app index) —
-// the same total order the event comparators use. The comparison-based
-// sort avoids sort.Slice's reflection; equal keys only arise for one
-// app's simultaneous invocations, which are indistinguishable.
-func sortInvs(invs []inv) {
-	slices.SortFunc(invs, func(a, b inv) int {
-		if a.t != b.t {
-			if a.t < b.t {
-				return -1
-			}
-			return 1
-		}
-		return int(a.app) - int(b.app)
-	})
-}
-
-// timeline is the discrete-event loop: the shard's invocation stream
-// and its container-event queue advance together in time order.
+// timeline is the discrete-event loop: the shard's arrival heap and
+// its container-event queue advance together in time order.
 func (s *shard) timeline(ctx context.Context) error {
-	ii := 0
-	for steps := 0; ii < len(s.invs) || s.q.n > 0; steps++ {
+	for steps := 0; len(s.arr) > 0 || s.q.n > 0; steps++ {
 		if steps&4095 == 4095 && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		if ev, ok := s.q.peek(); ok {
-			if ii >= len(s.invs) || ev.t < s.invs[ii].t ||
-				(ev.t == s.invs[ii].t && ev.kind <= evReload) {
+			if len(s.arr) == 0 || ev.t < s.arr[0].t ||
+				(ev.t == s.arr[0].t && ev.kind <= evReload) {
 				s.q.pop()
 				switch ev.kind {
 				case evCluster:
@@ -130,9 +113,9 @@ func (s *shard) timeline(ctx context.Context) error {
 				continue
 			}
 		}
-		in := s.invs[ii]
-		ii++
+		in := s.arr[0]
 		s.invoke(in.app, in.t)
+		s.advanceArrival()
 	}
 	return nil
 }
@@ -250,7 +233,7 @@ func (s *shard) schedule(ai int32) {
 
 // nextArrival returns the app's next invocation time (+Inf after the
 // last one). The timeline has already consumed invocations below
-// st.inv, so this is the next arrival the stream will deliver.
+// st.inv, so this is the app's key in the arrival heap.
 func (s *shard) nextArrival(ai int32) float64 {
 	st := &s.e.states[ai]
 	if st.inv < len(st.walk.times) {
@@ -633,6 +616,68 @@ func eventLess(a, b cevent) bool {
 }
 
 func (s *shard) pushEvent(ev cevent) { s.q.push(ev) }
+
+// Arrival heap: ordered by (t, app), one entry per app. Each app's
+// times are ascending in its walk, so popping the heap and re-keying
+// the popped app with its next time yields the shard's invocations in
+// exactly the (t, app) total order a sort of the flattened stream
+// would; equal keys arise only from one app's simultaneous
+// invocations, which are indistinguishable. Memory is O(apps), not
+// O(invocations).
+
+func arrivalLess(a, b arrival) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.app < b.app
+}
+
+// seedArrivals rebuilds the arrival heap over apps: one cursor per app
+// with invocations left.
+func (s *shard) seedArrivals(apps []int32) {
+	s.arr = s.arr[:0]
+	for _, ai := range apps {
+		if t := s.nextArrival(ai); !math.IsInf(t, 1) {
+			s.arr = append(s.arr, arrival{t: t, app: ai})
+		}
+	}
+	for i := len(s.arr)/2 - 1; i >= 0; i-- {
+		siftDownArrival(s.arr, i)
+	}
+	storeMax(&s.e.arrivalPeak, int64(len(s.arr)))
+}
+
+// advanceArrival re-keys the top app after invoke consumed its
+// arrival, dropping it once it has none left.
+func (s *shard) advanceArrival() {
+	if t := s.nextArrival(s.arr[0].app); !math.IsInf(t, 1) {
+		s.arr[0].t = t
+	} else {
+		n := len(s.arr) - 1
+		s.arr[0] = s.arr[n]
+		s.arr = s.arr[:n]
+	}
+	siftDownArrival(s.arr, 0)
+}
+
+func siftDownArrival(h []arrival, i int) {
+	n := len(h)
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && arrivalLess(h[l], h[small]) {
+			small = l
+		}
+		if r < n && arrivalLess(h[r], h[small]) {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+}
 
 // Victim index heap: ordered by (unloadAt, app). Stale entries are
 // tolerated and skipped on pop; pushVictim compacts the index when

@@ -89,3 +89,54 @@ func TestStreamingWalkMemory(t *testing.T) {
 		t.Errorf("global walk peak not O(apps): %d bytes at 400 apps, %d at 1600 — accounting broken?", gSmall, gBig)
 	}
 }
+
+// TestArrivalHeapMemory pins the arrival-merge memory contract: a
+// shard's arrival state holds one entry per app with invocations, never
+// one per invocation. Every uniformTrace app has 80 invocations, so a
+// regression that heaps or re-materializes each invocation shows up as
+// an 80x peak, and one that bypasses the heap shows up as a zero peak.
+func TestArrivalHeapMemory(t *testing.T) {
+	const apps, nodes = 400, 8
+	for _, global := range []bool{false, true} {
+		tr := uniformTrace(apps)
+		// Every tenth app is silent: no invocations, so no cursor.
+		for ai := 0; ai < apps; ai += 10 {
+			tr.Apps[ai].Functions[0].Invocations = nil
+		}
+		cfg := Config{Nodes: nodes, NodeMemMB: 4096, Workers: 1, forceGlobal: global}
+		e, err := runEngine(context.Background(), tr, policy.NewHybrid(policy.DefaultHybridConfig()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appsOn := make([]int64, nodes)
+		invsOn := make([]int64, nodes)
+		var appsAll, invsAll int64
+		for ai := range e.states {
+			if r := e.states[ai].res; r.Invocations > 0 {
+				appsOn[r.Node]++
+				invsOn[r.Node] += int64(r.Invocations)
+				appsAll++
+				invsAll += int64(r.Invocations)
+			}
+		}
+		// The sharded path holds one node's heap at a time (one
+		// worker), the global path one heap over every app.
+		wantApps, invs := appsAll, invsAll
+		if !global {
+			n := 0
+			for i := range appsOn {
+				if appsOn[i] > appsOn[n] {
+					n = i
+				}
+			}
+			wantApps, invs = appsOn[n], invsOn[n]
+		}
+		if got := e.arrivalPeak.Load(); got != wantApps {
+			t.Errorf("global=%v: arrival peak %d entries, want %d (one per app with invocations; the shard saw %d invocations)",
+				global, got, wantApps, invs)
+		}
+		if invs < 40*wantApps {
+			t.Fatalf("global=%v: only %d invocations over %d apps; the bound cannot tell apps from invocations", global, invs, wantApps)
+		}
+	}
+}
