@@ -89,6 +89,8 @@ func TestParseEventsErrors(t *testing.T) {
 		{"fail@soon:node=0", "want a duration"},
 		{"resize@1h:node=0", "resize needs mem"},
 		{"fail@1h:node=0&mem=5", "unknown parameters"},
+		{"fail@1h:node=1&node=2", "parameter node: given 2 times"},
+		{"resize@1h:node=0&mem=NaN", "parameter mem: want a finite number, got NaN"},
 	} {
 		if _, err := ParseEvents(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseEvents(%q) = %v, want error containing %q", tc.in, err, tc.want)

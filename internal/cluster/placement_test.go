@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,6 +115,9 @@ func TestPlacementRegistry(t *testing.T) {
 	}
 	if _, err := NewPlacement("nope"); err == nil {
 		t.Fatal("unknown placement accepted")
+	}
+	if _, err := NewPlacement("hash?seed=1&seed=2"); err == nil || !strings.Contains(err.Error(), "parameter seed: given 2 times") {
+		t.Fatalf("repeated key: %v", err)
 	}
 }
 

@@ -6,7 +6,7 @@
 // Encoding them as analyzers keeps every future change honest on
 // every push.
 //
-// The six analyzers:
+// The five analyzers:
 //
 //   - determinism: flags `range` over a map inside the deterministic
 //     result path (internal/sim, internal/cluster, internal/metrics,
@@ -44,10 +44,6 @@
 //     the Sink interface, but the codec is only discovered at runtime
 //     by the multi-process fan-out (internal/scenario/procs.go) — a
 //     sink without it silently breaks RunSweepProcs.
-//   - specparams: every spec factory built on internal/spec must
-//     check Params.Unused() in the function that calls spec.Parse,
-//     so unknown-key errors stay uniform across policies, placements,
-//     sources and sinks.
 //
 // # Annotation grammar
 //

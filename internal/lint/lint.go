@@ -120,7 +120,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 
 // All returns the full wildlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Fastlane, Oblivious, Release, SinkContract, SpecParams}
+	return []*Analyzer{Determinism, Fastlane, Oblivious, Release, SinkContract}
 }
 
 // ByName resolves a comma-separable analyzer name, or nil.
@@ -131,6 +131,36 @@ func ByName(name string) *Analyzer {
 		}
 	}
 	return nil
+}
+
+// forEachFuncUnit calls fn once per function body in the file: every
+// declaration and every function literal is its own unit.
+func forEachFuncUnit(f *ast.File, fn func(body *ast.BlockStmt)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				fn(n.Body)
+			}
+		case *ast.FuncLit:
+			fn(n.Body)
+		}
+		return true
+	})
+}
+
+// inspectUnit walks stmts of one function unit, skipping nested
+// function literals.
+func inspectUnit(body *ast.BlockStmt, visit func(n ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
 }
 
 // walkStack traverses the file like ast.Inspect but hands the visitor

@@ -33,10 +33,6 @@ func TestSinkContractFixture(t *testing.T) {
 	RunFixture(t, SinkContract, "sinkfix")
 }
 
-func TestSpecParamsFixture(t *testing.T) {
-	RunFixture(t, SpecParams, "specfix")
-}
-
 func TestFastlaneFixture(t *testing.T) {
 	RunFixture(t, Fastlane, "fastlanefix")
 }

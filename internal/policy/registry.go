@@ -2,8 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/forecast"
@@ -32,55 +30,27 @@ type SpecParams = spec.Params
 // Builder constructs a policy from a spec's parameters.
 type Builder func(p *SpecParams) (Policy, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Builder{}
-)
+var registry = spec.NewRegistry[Builder]("policy: Register")
 
 // Register adds a named policy builder. Downstream users extend the
 // spec language with their own policies the same way the built-ins
 // are wired. Registering a duplicate name panics (programming error).
-func Register(name string, b Builder) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("policy: Register(%q) called twice", name))
-	}
-	registry[name] = b
-}
+func Register(name string, b Builder) { registry.Register(name, b) }
 
 // SpecNames returns the registered policy names, sorted.
-func SpecNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func SpecNames() []string { return registry.Names() }
 
 // FromSpec parses a policy spec ("hybrid?cv=2&range=4h") and builds
 // the policy through the registry.
 func FromSpec(s string) (Policy, error) {
 	name, query := spec.Split(s)
-	regMu.RLock()
-	b, ok := registry[name]
-	regMu.RUnlock()
+	b, ok := registry.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, SpecNames())
 	}
-	p, err := spec.Parse(query)
+	pol, err := spec.Build(query, b)
 	if err != nil {
 		return nil, fmt.Errorf("policy: spec %q: %w", s, err)
-	}
-	pol, err := b(p)
-	if err != nil {
-		return nil, fmt.Errorf("policy: spec %q: %w", s, err)
-	}
-	if left := p.Unused(); len(left) > 0 {
-		return nil, fmt.Errorf("policy: spec %q: unknown parameters %v (known: %v)", s, left, p.Known())
 	}
 	return pol, nil
 }
@@ -146,6 +116,8 @@ func buildHybrid(p *SpecParams) (Policy, error) {
 	cfg.Histogram.BinWidth = binWidth
 	if histRange, err := p.Duration("range", 0); err != nil {
 		return nil, err
+	} else if histRange < 0 {
+		return nil, fmt.Errorf("parameter range: must be non-negative, got %v", histRange)
 	} else if histRange > 0 {
 		if binWidth <= 0 {
 			return nil, fmt.Errorf("parameter binwidth: must be positive, got %v", binWidth)

@@ -108,6 +108,10 @@ func TestFromSpecErrors(t *testing.T) {
 		{"hybrid?range=4h&binwidth=0s", "binwidth"},
 		{"nounload?ka=1m", "unknown parameters [ka]"},
 		{"fixed?ka=10m&ka2=3", "unknown parameters [ka2]"},
+		{"fixed?ka=10m&ka=1h", "parameter ka: given 2 times"},
+		{"hybrid?cv=NaN", "parameter cv: want a finite number, got NaN"},
+		{"hybrid?margin=-Inf", "parameter margin: want a finite number, got -Inf"},
+		{"hybrid?range=-4h", "parameter range: must be non-negative, got -4h0m0s"},
 	}
 	for _, c := range cases {
 		_, err := FromSpec(c.spec)

@@ -136,6 +136,8 @@ func TestSourceSpecErrors(t *testing.T) {
 		{"csv:", "want csv:path"},
 		{"gen:apps=ten", "parameter apps"},
 		{"gen:apps=10&foo=1", "unknown parameters [foo]"},
+		{"gen:apps=10&apps=20", "parameter apps: given 2 times"},
+		{"gen:days=Inf", "parameter days: want a finite number, got +Inf"},
 		{"shard:1/4", "want shard:i/n of"},
 		{"shard:4/4 of gen:apps=10", "invalid shard"},
 		{"shard:0/2 of cvs:x", `unknown source "cvs"`},
@@ -158,6 +160,9 @@ func TestSinkSpecErrors(t *testing.T) {
 		{"coldstarts", `unknown sink "coldstarts"`},
 		{"coldstart?quant=75", "unknown parameters [quant]"},
 		{"coldstart?q=101", "out of [0, 100]"},
+		{"coldstart?q=NaN", "parameter q: want a finite number, got NaN"},
+		{"coldstart?q=50:+Inf", "parameter q: want a finite number, got +Inf"},
+		{"coldstart?q=50&q=99", "parameter q: given 2 times"},
 		{"waste?x=1", "unknown parameters [x]"},
 	}
 	for _, c := range cases {

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -61,42 +60,20 @@ type lazyOpener interface {
 // text after "name:").
 type SourceBuilder func(rest string) (SourceFactory, error)
 
-var (
-	sourceMu  sync.RWMutex
-	sourceReg = map[string]SourceBuilder{}
-)
+var sourceReg = spec.NewRegistry[SourceBuilder]("scenario: RegisterSource")
 
 // RegisterSource adds a named source builder. Registering a duplicate
 // name panics (programming error).
-func RegisterSource(name string, b SourceBuilder) {
-	sourceMu.Lock()
-	defer sourceMu.Unlock()
-	if _, dup := sourceReg[name]; dup {
-		panic(fmt.Sprintf("scenario: RegisterSource(%q) called twice", name))
-	}
-	sourceReg[name] = b
-}
+func RegisterSource(name string, b SourceBuilder) { sourceReg.Register(name, b) }
 
 // SourceNames returns the registered source scheme names, sorted.
-func SourceNames() []string {
-	sourceMu.RLock()
-	defer sourceMu.RUnlock()
-	names := make([]string, 0, len(sourceReg))
-	//wildlint:orderinvariant
-	for n := range sourceReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func SourceNames() []string { return sourceReg.Names() }
 
 // NewSource builds a source factory from a spec ("csv:path",
 // "gen:apps=400", "shard:1/4 of <spec>").
 func NewSource(s string) (SourceFactory, error) {
 	name, rest, _ := strings.Cut(s, ":")
-	sourceMu.RLock()
-	b, ok := sourceReg[name]
-	sourceMu.RUnlock()
+	b, ok := sourceReg.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown source %q (registered: %v)", name, SourceNames())
 	}
@@ -339,55 +316,9 @@ func init() {
 		return &tracecFactory{path: rest}, nil
 	})
 	RegisterSource("gen", func(rest string) (SourceFactory, error) {
-		p, err := spec.Parse(rest)
+		cfg, err := spec.Build(rest, genConfig)
 		if err != nil {
 			return nil, err
-		}
-		var cfg workload.Config
-		apps, err := p.Int("apps", 500)
-		if err != nil {
-			return nil, err
-		}
-		cfg.NumApps = apps
-		days, err := p.Float("days", 7)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Duration = time.Duration(days * 24 * float64(time.Hour))
-		if cfg.Seed, err = p.Uint64("seed", 42); err != nil {
-			return nil, err
-		}
-		if cfg.MaxDailyRate, err = p.Float("maxrate", 20000); err != nil {
-			return nil, err
-		}
-		if cfg.MaxEventsPerFunction, err = p.Int("maxevents", 200000); err != nil {
-			return nil, err
-		}
-		// Shaped arrival modes ("mode=ramp&rps0=10&rps1=20&step=5",
-		// "mode=burst&rps0=2&rps1=50", "mode=diurnal&rps0=1&rps1=30");
-		// workload.Config.Validate rejects shaped parameters without a
-		// mode and mode-mismatched ones.
-		cfg.Mode = p.String("mode", "")
-		if cfg.RPS0, err = p.Float("rps0", 0); err != nil {
-			return nil, err
-		}
-		if cfg.RPS1, err = p.Float("rps1", 0); err != nil {
-			return nil, err
-		}
-		if cfg.StepRPS, err = p.Float("step", 0); err != nil {
-			return nil, err
-		}
-		if cfg.SlotMins, err = p.Int("slot", 0); err != nil {
-			return nil, err
-		}
-		if cfg.PeriodMins, err = p.Int("period", 0); err != nil {
-			return nil, err
-		}
-		if cfg.BurstMins, err = p.Int("burst", 0); err != nil {
-			return nil, err
-		}
-		if left := p.Unused(); len(left) > 0 {
-			return nil, fmt.Errorf("unknown parameters %v (known: %v)", left, p.Known())
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -409,6 +340,53 @@ func init() {
 		}
 		return &shardFactory{inner: inner, i: i, n: n}, nil
 	})
+}
+
+// genConfig reads a gen: source's parameters into a workload config.
+func genConfig(p *spec.Params) (workload.Config, error) {
+	var cfg workload.Config
+	var err error
+	if cfg.NumApps, err = p.Int("apps", 500); err != nil {
+		return cfg, err
+	}
+	days, err := p.Float("days", 7)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Duration = time.Duration(days * 24 * float64(time.Hour))
+	if cfg.Seed, err = p.Uint64("seed", 42); err != nil {
+		return cfg, err
+	}
+	if cfg.MaxDailyRate, err = p.Float("maxrate", 20000); err != nil {
+		return cfg, err
+	}
+	if cfg.MaxEventsPerFunction, err = p.Int("maxevents", 200000); err != nil {
+		return cfg, err
+	}
+	// Shaped arrival modes ("mode=ramp&rps0=10&rps1=20&step=5",
+	// "mode=burst&rps0=2&rps1=50", "mode=diurnal&rps0=1&rps1=30");
+	// workload.Config.Validate rejects shaped parameters without a
+	// mode and mode-mismatched ones.
+	cfg.Mode = p.String("mode", "")
+	if cfg.RPS0, err = p.Float("rps0", 0); err != nil {
+		return cfg, err
+	}
+	if cfg.RPS1, err = p.Float("rps1", 0); err != nil {
+		return cfg, err
+	}
+	if cfg.StepRPS, err = p.Float("step", 0); err != nil {
+		return cfg, err
+	}
+	if cfg.SlotMins, err = p.Int("slot", 0); err != nil {
+		return cfg, err
+	}
+	if cfg.PeriodMins, err = p.Int("period", 0); err != nil {
+		return cfg, err
+	}
+	if cfg.BurstMins, err = p.Int("burst", 0); err != nil {
+		return cfg, err
+	}
+	return cfg, nil
 }
 
 // sourceForScenario resolves sc's source factory with the seed

@@ -5,15 +5,17 @@
 //
 // with URL query syntax after the name — "hybrid?cv=2&range=4h" for a
 // policy, "binpack?order=invocations" for a placement,
-// "coldstart?q=50,75,99" for a metrics sink. Params carries the parsed
-// parameters to a builder with typed accessors that record which keys
-// were consumed, so a registry can reject specs with leftover
-// (misspelled) keys — a typo fails fast instead of silently
-// configuring the default.
+// "coldstart?q=50,75,99" for a metrics sink. Build parses the query
+// and carries the parameters to a builder as Params, whose typed
+// accessors record which keys were consumed, and then rejects specs
+// with leftover (misspelled) keys — a typo fails fast instead of
+// silently configuring the default. Registry holds each component
+// kind's named builders.
 package spec
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"sort"
 	"strconv"
@@ -30,18 +32,26 @@ func Split(s string) (name, query string) {
 	return s, ""
 }
 
-// Parse parses a raw query string into Params.
-func Parse(query string) (*Params, error) {
+// parse parses a raw query string into Params. A key given more than
+// once is an error: the accessors read one value, and silently
+// dropping the rest would run a cell other than the one written.
+func parse(query string) (*Params, error) {
 	vals, err := url.ParseQuery(query)
 	if err != nil {
 		return nil, err
 	}
-	return &Params{vals: vals, used: map[string]bool{}}, nil
+	p := &Params{vals: vals, used: map[string]bool{}}
+	for _, k := range p.keys() {
+		if n := len(vals[k]); n > 1 {
+			return nil, fmt.Errorf("parameter %s: given %d times", k, n)
+		}
+	}
+	return p, nil
 }
 
 // Params carries a spec's parsed parameters to a builder. Typed
-// accessors record which keys were consumed; registries reject specs
-// with leftover (misspelled) keys afterwards via Unused.
+// accessors record which keys were consumed; Build rejects specs with
+// leftover (misspelled) keys afterwards via Unused.
 type Params struct {
 	vals  url.Values
 	used  map[string]bool
@@ -68,9 +78,20 @@ func (p *Params) Float(key string, def float64) (float64, error) {
 	if !ok {
 		return def, nil
 	}
+	return parseFinite(key, s)
+}
+
+// parseFinite parses one float parameter value. NaN and ±Inf are
+// rejected: they pass every range check written as a pair of
+// comparisons, and a builder's "> 0" guard would turn them into the
+// default under a cell labelled with the non-finite value.
+func parseFinite(key, s string) (float64, error) {
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %s: %w", key, err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("parameter %s: want a finite number, got %v", key, f)
 	}
 	return f, nil
 }
@@ -141,9 +162,9 @@ func (p *Params) Floats(key string, def []float64) ([]float64, error) {
 	}
 	out := make([]float64, 0, len(parts))
 	for _, part := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		f, err := parseFinite(key, strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("parameter %s: %w", key, err)
+			return nil, err
 		}
 		out = append(out, f)
 	}
@@ -177,14 +198,23 @@ func (p *Params) Known() []string {
 }
 
 // Unused returns the keys no accessor consumed, sorted — the
-// misspellings a registry turns into "unknown parameters" errors.
+// misspellings Build turns into "unknown parameters" errors.
 func (p *Params) Unused() []string {
 	var left []string
-	for k := range p.vals {
+	for _, k := range p.keys() {
 		if !p.used[k] {
 			left = append(left, k)
 		}
 	}
-	sort.Strings(left)
 	return left
+}
+
+// keys returns the spec's keys, sorted.
+func (p *Params) keys() []string {
+	keys := make([]string, 0, len(p.vals))
+	for k := range p.vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

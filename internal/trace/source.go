@@ -106,9 +106,9 @@ func (s *shardSource) Next() (*App, error) {
 	}
 }
 
-// ParseShard parses an "i/n" shard designator (as taken by the
-// tracegen and coldsim -shard flags) into Shard arguments, rejecting
-// trailing garbage and out-of-range layouts.
+// ParseShard parses an "i/n" shard designator (the scenario
+// grammar's shard=i/n and the shard:i/n source) into Shard arguments,
+// rejecting trailing garbage and out-of-range layouts.
 func ParseShard(s string) (i, n int, err error) {
 	lhs, rhs, ok := strings.Cut(s, "/")
 	if ok {

@@ -50,6 +50,24 @@ func TestUnknownKeyErrorsListKnownKeys(t *testing.T) {
 			wantUnknown: "quantiles",
 			wantKnown:   []string{"q"},
 		},
+		{
+			name: "source",
+			build: func() error {
+				_, err := scenario.NewSource("gen:apps=5&aps=3")
+				return err
+			},
+			wantUnknown: "aps",
+			wantKnown:   []string{"apps", "days", "seed"},
+		},
+		{
+			name: "event",
+			build: func() error {
+				_, err := cluster.ParseEvents("fail@1h:node=0&nod=1")
+				return err
+			},
+			wantUnknown: "nod",
+			wantKnown:   []string{"node"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
