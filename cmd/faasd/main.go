@@ -5,14 +5,18 @@
 // Usage:
 //
 //	faasd -listen :8080 -policy 'hybrid?range=4h'
-//	faasd -policy 'fixed?ka=20m' -record traffic.bundle
+//	faasd -policy 'fixed?ka=20m' -record traffic.bin
 //	curl -X PUT  localhost:8080/actions/hello -d '{"exec_ms":50,"memory_mb":128}'
 //	curl -X POST localhost:8080/invoke/hello
 //	curl         localhost:8080/stats
 //
-// With -record, every invocation is captured and written out as an
-// incident bundle on shutdown (Ctrl-C), replayable with
-// coldsim -scenario 'source=bundle:traffic.bundle; policy=[...]'.
+// With -record, every invocation is captured at per-minute resolution
+// and written out as a WILDTRC1 binary trace on shutdown (Ctrl-C),
+// replayable with coldsim -scenario 'source=tracec:traffic.bin;
+// policy=[...]' and readable as CSV via
+// tracegen -source tracec:traffic.bin -out dir. The shutdown line
+// also reports how many events preceded the recorder's epoch and were
+// dropped — a nonzero count means clock skew.
 package main
 
 import (
@@ -29,6 +33,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/policy"
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -41,7 +46,7 @@ func main() {
 			fmt.Sprintf("keep-alive policy spec, e.g. 'hybrid?range=4h' or 'fixed?ka=20m' (registered: %v)", policy.SpecNames()))
 		invokers  = flag.Int("invokers", 4, "invoker count")
 		coldStart = flag.Duration("cold-start", 500*time.Millisecond, "simulated container cold start")
-		record    = flag.String("record", "", "write served traffic as an incident bundle on shutdown")
+		record    = flag.String("record", "", "write served traffic as a WILDTRC1 binary trace on shutdown")
 	)
 	flag.Parse()
 
@@ -83,12 +88,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := rec.WriteBundle(f, "faasd", 0); err != nil {
+		if err := trace.WriteBinary(f, rec.Trace(0)); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("recorded %d invocations to %s", rec.Invocations(), *record)
+		log.Printf("recorded %d invocations (%d before epoch dropped) to %s",
+			rec.Invocations(), rec.Early(), *record)
 	}
 }

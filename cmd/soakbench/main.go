@@ -8,13 +8,14 @@
 //
 //	go run ./cmd/soakbench [-policy hybrid] [-apps 512] [-workers N]
 //	    [-duration 3s] [-shards 32] [-meanidle 2m] [-seed 1]
-//	    [-record out.bundle] [-assert-p99 0]
+//	    [-record out.bin] [-assert-p99 0]
 //
 // The JSON result goes to stdout; a human summary to stderr. With
 // -assert-p99 the run exits non-zero when the p99 decision latency
 // exceeds the bound (CI regression gate). With -record the driven
-// stream is written out as an incident bundle, replayable with
-// coldsim ("source=bundle:out.bundle") or replay.ReplayBundle.
+// stream is written out as a WILDTRC1 binary trace, replayable with
+// coldsim ("source=tracec:out.bin"); a failed write or close of the
+// capture exits non-zero.
 package main
 
 import (
@@ -38,23 +39,29 @@ func main() {
 	flag.IntVar(&cfg.Shards, "shards", 0, "controller lock shards (0 = default)")
 	flag.DurationVar(&cfg.MeanIdle, "meanidle", 2*time.Minute, "mean synthetic inter-arrival gap")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "arrival randomness seed")
-	record := flag.String("record", "", "write the driven stream as an incident bundle")
+	record := flag.String("record", "", "write the driven stream as a WILDTRC1 binary trace")
 	assertP99 := flag.Duration("assert-p99", 0, "fail if p99 decision latency exceeds this (0 = off)")
 	flag.Parse()
 
+	var recFile *os.File
 	if *record != "" {
 		f, err := os.Create(*record)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "soakbench:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
+		recFile = f
 		cfg.Record = f
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := serve.Soak(ctx, cfg)
+	if recFile != nil {
+		if cerr := recFile.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "soakbench:", err)
 		os.Exit(1)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 func newTestAPI(t *testing.T) (*API, *Platform) {
@@ -224,7 +225,7 @@ func TestAPIConcurrentInvokeStats(t *testing.T) {
 
 // TestAPIInvokesRecordedAsBundle wires a Recorder into the platform
 // and checks HTTP invokes come out the other end as a replayable
-// incident bundle: the live serving loop's capture path.
+// WILDTRC1 capture: the live serving loop's capture path.
 func TestAPIInvokesRecordedAsBundle(t *testing.T) {
 	cfg := fastCfg()
 	rec := serve.NewRecorder(cfg.Clock.Now())
@@ -244,17 +245,17 @@ func TestAPIInvokesRecordedAsBundle(t *testing.T) {
 		t.Fatalf("recorder captured %d invocations, want %d", got, n)
 	}
 	var buf bytes.Buffer
-	if err := rec.WriteBundle(&buf, "api-capture", 0); err != nil {
+	if err := trace.WriteBinary(&buf, rec.Trace(0)); err != nil {
 		t.Fatal(err)
 	}
-	meta, tr, err := serve.ReadBundle(&buf)
+	tr, err := trace.ReadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Invocations != n || meta.Apps != 1 {
-		t.Fatalf("bundle meta = %+v, want %d invocations of 1 app", meta, n)
+	if tr.TotalInvocations() != n || len(tr.Apps) != 1 {
+		t.Fatalf("capture holds %d invocations of %d apps, want %d of 1", tr.TotalInvocations(), len(tr.Apps), n)
 	}
 	if tr.Apps[0].ID != "demo" || tr.Apps[0].Functions[0].ID != "hello" {
-		t.Fatalf("bundle holds %s/%s, want demo/hello", tr.Apps[0].ID, tr.Apps[0].Functions[0].ID)
+		t.Fatalf("capture holds %s/%s, want demo/hello", tr.Apps[0].ID, tr.Apps[0].Functions[0].ID)
 	}
 }

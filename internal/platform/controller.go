@@ -59,7 +59,7 @@ func NewController(clock Clock, bus *Bus, pol policy.Policy, n int) *Controller 
 
 // SetRecorder attaches an incident-stream recorder: every invocation
 // routed through the controller is captured (at the platform clock's
-// timestamps) for later bundle export. Attach before traffic starts.
+// timestamps) for later WILDTRC1 export. Attach before traffic starts.
 func (c *Controller) SetRecorder(r *serve.Recorder) { c.rec = r }
 
 // Decider exposes the underlying decision service.

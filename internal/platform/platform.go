@@ -26,9 +26,9 @@ type Config struct {
 	// to replay hours of trace in seconds.
 	Clock Clock
 	// Recorder, when set, captures every invocation routed through the
-	// controller (at the platform clock's timestamps) into an incident
-	// bundle recorder, for later what-if replay via
-	// replay.ReplayBundle.
+	// controller (at the platform clock's timestamps); its Trace,
+	// written with trace.WriteBinary, replays through the scenario
+	// engine's "tracec:" source for what-if policy comparisons.
 	Recorder *serve.Recorder
 }
 

@@ -141,6 +141,7 @@ func TestSourceSpecErrors(t *testing.T) {
 		{"shard:1/4", "want shard:i/n of"},
 		{"shard:4/4 of gen:apps=10", "invalid shard"},
 		{"shard:0/2 of cvs:x", `unknown source "cvs"`},
+		{"bundle:x.bin", "unknown source"}, // captures are WILDTRC1: tracec:
 	}
 	for _, c := range cases {
 		_, err := NewSource(c.spec)
@@ -150,6 +151,39 @@ func TestSourceSpecErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("source %q: error %q missing %q", c.spec, err, c.wantSub)
+		}
+	}
+}
+
+// TestGenSpecDiurnalRoundTrip pins the mode-aware period elision: a
+// diurnal cell's default period (one day) is elided, while an explicit
+// period equal to the burst default (10) survives the round trip.
+func TestGenSpecDiurnalRoundTrip(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"gen:apps=5&mode=diurnal&rps0=1&rps1=30",
+			"gen:apps=5&seed=42&mode=diurnal&rps0=1&rps1=30"},
+		{"gen:apps=5&mode=diurnal&rps0=1&rps1=30&period=1440",
+			"gen:apps=5&seed=42&mode=diurnal&rps0=1&rps1=30"},
+		{"gen:apps=5&mode=diurnal&rps0=1&rps1=30&period=10",
+			"gen:apps=5&seed=42&mode=diurnal&rps0=1&rps1=30&period=10"},
+		{"gen:apps=5&mode=burst&rps0=1&rps1=30&period=10",
+			"gen:apps=5&seed=42&mode=burst&rps0=1&rps1=30"},
+	}
+	for _, c := range cases {
+		f, err := NewSource(c.in)
+		if err != nil {
+			t.Fatalf("%q: %v", c.in, err)
+		}
+		if got := f.Spec(); got != c.want {
+			t.Errorf("%q: Spec() = %q, want %q", c.in, got, c.want)
+		}
+		// And the canonical spec is a fixed point.
+		f2, err := NewSource(f.Spec())
+		if err != nil {
+			t.Fatalf("%q: reparse: %v", f.Spec(), err)
+		}
+		if f2.Spec() != f.Spec() {
+			t.Errorf("%q: not a fixed point (-> %q)", f.Spec(), f2.Spec())
 		}
 	}
 }

@@ -21,10 +21,10 @@ import (
 // where rest's shape belongs to the scheme:
 //
 //	csv:trace/invocations.csv        streaming dataset CSV
-//	tracec:trace/bundle.bin          compact binary bundle (tracegen -encode)
+//	tracec:trace/bundle.bin          WILDTRC1 binary trace (tracegen -encode,
+//	                                 or a faasd/soakbench -record capture)
 //	gen:apps=400&days=7&seed=7       synthetic generation (query syntax)
 //	shard:1/4 of csv:big.csv         the i-th of n interleaved shards
-//	bundle:incidents/oct-stampede    captured incident bundle (serve)
 //
 // trace.Source values are single-use, so the registry hands out
 // factories: every Open returns a fresh source, which is what lets a

@@ -10,15 +10,17 @@ import (
 
 // Recorder captures a live invocation stream at the trace codec's
 // native resolution — per-function per-minute counts, the
-// AzurePublicDataset schema — so a serving incident can be written
-// out as a bundle and replayed through the simulator against
-// candidate policies (replay.ReplayBundle).
+// AzurePublicDataset schema — so a serving incident is just a trace:
+// trace.WriteBinary(w, rec.Trace(0)) saves it as a WILDTRC1 file, and
+// the scenario engine replays it against candidate policies through
+// the "tracec:" source.
 //
 // Recording at minute-count resolution (rather than raw timestamps)
-// is what makes the loop exact: the bundle's rows go through the same
-// CSV row codec as any dataset trace, so a recorded stream and its
-// replay source are bit-identical by construction — the property the
-// bundle tests pin.
+// is what makes the loop exact: the binary codec stores exactly these
+// per-minute counts and expands them through the same SpreadMinute
+// rule the Recorder uses, so a recorded stream and its replay source
+// are bit-identical by construction — the property the round-trip
+// tests pin.
 type Recorder struct {
 	mu    sync.Mutex
 	epoch time.Time
@@ -37,7 +39,7 @@ type recFn struct {
 }
 
 // NewRecorder returns a recorder anchored at epoch: an event at time
-// t lands in minute (t - epoch)/1m of the bundle.
+// t lands in minute (t - epoch)/1m of the trace.
 func NewRecorder(epoch time.Time) *Recorder {
 	return &Recorder{epoch: epoch, apps: make(map[string]*recApp)}
 }
@@ -47,7 +49,7 @@ func (r *Recorder) Epoch() time.Time { return r.epoch }
 
 // Record captures one invocation of app/fn at time at, with the HTTP
 // trigger (the serving path's trigger class). Events before the epoch
-// are dropped (and counted in Meta().Early).
+// are dropped (and counted by Early).
 func (r *Recorder) Record(app, fn string, at time.Time) {
 	r.RecordAs(app, fn, trace.TriggerHTTP, at)
 }
@@ -85,13 +87,22 @@ func (r *Recorder) Invocations() int64 {
 	return r.invs
 }
 
+// Early returns how many events were dropped for preceding the epoch:
+// a nonzero count signals clock skew between the recorder and the
+// serving path feeding it.
+func (r *Recorder) Early() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.early
+}
+
 // Trace materializes the recorded stream as a trace: apps and
 // functions sorted by ID (recording order is scheduling-dependent
 // under concurrency, so the canonical order is lexicographic), with
 // invocation timestamps expanded from the minute counts by the codec
 // rule (trace.SpreadMinute). horizon bounds the trace duration; 0
 // means the last recorded minute. Events recorded past a nonzero
-// horizon are truncated, matching what WriteBundle emits.
+// horizon are truncated.
 func (r *Recorder) Trace(horizon time.Duration) *trace.Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()

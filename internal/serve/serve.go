@@ -19,9 +19,9 @@
 //     (regression-tested here and in internal/policy).
 //
 // A Recorder can sit beside a controller and capture the live
-// invocation stream into a versioned incident bundle (see bundle.go)
-// for later what-if replay through the simulator
-// (replay.ReplayBundle).
+// invocation stream as a trace; written with trace.WriteBinary, the
+// capture replays through the simulator like any WILDTRC1 file
+// (scenario source "tracec:path") for what-if policy comparisons.
 package serve
 
 import (

@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // SoakConfig parameterizes a soak run: sustained concurrent load
@@ -39,10 +40,9 @@ type SoakConfig struct {
 	MeanIdle time.Duration
 	// Seed drives the synthetic arrival randomness (default 1).
 	Seed uint64
-	// Record, when non-nil, receives the driven stream as an incident
-	// bundle after the soak (named RecordName, default "soak").
-	Record     io.Writer
-	RecordName string
+	// Record, when non-nil, receives the driven stream as a WILDTRC1
+	// binary trace (trace.WriteBinary) after the soak.
+	Record io.Writer
 }
 
 func (cfg SoakConfig) withDefaults() SoakConfig {
@@ -66,9 +66,6 @@ func (cfg SoakConfig) withDefaults() SoakConfig {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.RecordName == "" {
-		cfg.RecordName = "soak"
 	}
 	return cfg
 }
@@ -111,7 +108,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 	defer ctrl.Release()
 
 	// The virtual timeline is anchored at Unix zero: soak arrivals are
-	// synthetic, and a fixed epoch keeps recorded bundles reproducible.
+	// synthetic, and a fixed epoch keeps recorded captures reproducible.
 	epoch := time.Unix(0, 0).UTC()
 	var rec *Recorder
 	if cfg.Record != nil {
@@ -177,7 +174,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 		Hist:             hist,
 	}
 	if rec != nil {
-		if err := rec.WriteBundle(cfg.Record, cfg.RecordName, 0); err != nil {
+		if err := trace.WriteBinary(cfg.Record, rec.Trace(0)); err != nil {
 			return nil, err
 		}
 	}

@@ -7,18 +7,19 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 // TestSoakShort runs a brief soak and sanity-checks the result shape:
-// decisions flowed, percentiles are ordered, the recorded bundle holds
-// exactly the driven stream.
+// decisions flowed, percentiles are ordered, the recorded WILDTRC1
+// capture holds exactly the driven stream.
 func TestSoakShort(t *testing.T) {
-	var bundle bytes.Buffer
+	var capture bytes.Buffer
 	res, err := serve.Soak(context.Background(), serve.SoakConfig{
 		Apps:     32,
 		Workers:  4,
 		Duration: 150 * time.Millisecond,
-		Record:   &bundle,
+		Record:   &capture,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,21 +37,12 @@ func TestSoakShort(t *testing.T) {
 		t.Fatalf("histogram holds %d samples, want %d", res.Hist.Count(), res.Decisions)
 	}
 
-	meta, tr, err := serve.ReadBundle(&bundle)
+	tr, err := trace.ReadBinary(&capture)
 	if err != nil {
-		t.Fatalf("recorded bundle unreadable: %v", err)
+		t.Fatalf("recorded capture unreadable: %v", err)
 	}
-	if int64(meta.Invocations) != res.Decisions {
-		t.Fatalf("bundle holds %d invocations, soak made %d decisions", meta.Invocations, res.Decisions)
-	}
-	total := 0
-	for _, app := range tr.Apps {
-		for _, fn := range app.Functions {
-			total += len(fn.Invocations)
-		}
-	}
-	if int64(total) != res.Decisions {
-		t.Fatalf("bundle expands to %d timestamps, want %d", total, res.Decisions)
+	if got := tr.TotalInvocations(); int64(got) != res.Decisions {
+		t.Fatalf("capture expands to %d invocations, soak made %d decisions", got, res.Decisions)
 	}
 }
 

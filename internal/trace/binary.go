@@ -320,6 +320,12 @@ func (s *BinarySource) readFunction() (*Function, error) {
 			return nil, fmt.Errorf("function %s: run of %d minutes at %d overruns the %d-minute horizon",
 				id, length, covered, s.minutes)
 		}
+		// Bound count before multiplying: length ≤ binaryMaxMinutes, so
+		// with count ≤ binaryMaxInvs neither the product nor the running
+		// total can wrap around uint64.
+		if count > binaryMaxInvs {
+			return nil, fmt.Errorf("function %s: invocation column overflows", id)
+		}
 		total += length * count
 		if total > binaryMaxInvs {
 			return nil, fmt.Errorf("function %s: invocation column overflows", id)

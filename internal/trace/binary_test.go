@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -284,6 +285,47 @@ func TestBinaryCorrupt(t *testing.T) {
 			t.Fatal("oversized trailing varint accepted")
 		}
 	})
+	t.Run("overflowing run count", func(t *testing.T) {
+		// A run's length × count must not wrap around uint64 past the
+		// invocation bound. 2 × (2^63+1) wraps to 2; 4 × (2^62+1) wraps
+		// to 4 and, if accepted, expands 2^62 invocations per minute
+		// until memory runs out. The first file is decoded first and
+		// t.Fatal stops the case, so a decoder with the wrap fails here
+		// without reaching the second.
+		if tr, err := decodeAll(singleRunTrace(t, 2, 3)); err != nil || tr.TotalInvocations() != 6 {
+			t.Fatalf("well-formed single-run trace: %v", err)
+		}
+		for _, c := range []struct {
+			minutes int
+			count   uint64
+		}{{2, 1<<63 + 1}, {4, 1<<62 + 1}} {
+			data := singleRunTrace(t, c.minutes, c.count)
+			if tr, err := decodeAll(data); err == nil {
+				t.Fatalf("%d-minute run of count %d accepted (%d invocations)",
+					c.minutes, c.count, tr.TotalInvocations())
+			}
+		}
+	})
+}
+
+// singleRunTrace encodes a one-function trace whose invocation column
+// is a single run of count invocations per minute over minutes
+// minutes, written by hand past WriteBinary's own bounds.
+func singleRunTrace(t *testing.T, minutes int, count uint64) []byte {
+	t.Helper()
+	tr := &trace.Trace{Duration: time.Duration(minutes) * time.Minute, Apps: []*trace.App{
+		{ID: "a", Owner: "o", Functions: []*trace.Function{{ID: "f", Trigger: trace.TriggerHTTP}}},
+	}}
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	// An idle column is the one pair (minutes, 0), two one-byte
+	// varints closing the file; replace it.
+	data := buf.Bytes()
+	data = data[:len(data)-2]
+	data = binary.AppendUvarint(data, uint64(minutes))
+	return binary.AppendUvarint(data, count)
 }
 
 func decodeAll(data []byte) (*trace.Trace, error) {

@@ -179,9 +179,9 @@ func parseInvocationRow(rec []string, minutes, line int, scratch *[]int) (owner,
 // SpreadMinute appends minute m's n invocations to dst at the codec's
 // canonical timestamps: evenly spread, 60m + 60k/n seconds for
 // k = 0..n-1. This is the single definition of how per-minute counts
-// become timestamps; the CSV readers and the incident-bundle recorder
-// (internal/serve) share it, which is what makes a recorded stream
-// replay bit-identically to its CSV round trip.
+// become timestamps; the CSV readers, the binary decoder and the
+// serving recorder (internal/serve) share it, which is what makes a
+// recorded stream replay bit-identically to its WILDTRC1 round trip.
 func SpreadMinute(dst []float64, m, n int) []float64 {
 	base := float64(m) * 60
 	for k := 0; k < n; k++ {

@@ -80,7 +80,7 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := Simulate(pop.Trace, MustFromSpec("hybrid"))
+	batch := simulate(t, pop.Trace, MustFromSpec("hybrid"))
 	if got, want := wholeWasted.TotalColdStarts(), int64(batch.TotalColdStarts()); got != want {
 		t.Errorf("streamed cold starts %d, batch %d", got, want)
 	}

@@ -24,7 +24,7 @@
 // Quick start (batch):
 //
 //	pop, _ := wild.Generate(wild.WorkloadConfig{Seed: 1, NumApps: 200})
-//	res := wild.Simulate(pop.Trace, wild.MustFromSpec("hybrid"))
+//	res, _ := wild.Run(ctx, wild.SourceFromTrace(pop.Trace), wild.MustFromSpec("hybrid"))
 //	fmt.Println(wild.ThirdQuartileColdPercent(res))
 //
 // Quick start (streaming, constant memory):
@@ -33,10 +33,6 @@
 //	cold := wild.NewColdStartSink()
 //	_, err := wild.Run(ctx, src, wild.MustFromSpec("hybrid"), wild.WithSink(cold))
 //	fmt.Println(cold.ThirdQuartile())
-//
-// The pre-redesign entry points (Simulate, SimulateOpts, Replay,
-// RunExperiments) remain as thin wrappers and produce byte-identical
-// results.
 package wild
 
 import (
@@ -168,8 +164,6 @@ func PolicySpecs() []string { return policy.SpecNames() }
 
 // Simulation.
 type (
-	// SimOptions configures the cold-start simulator (batch form).
-	SimOptions = sim.Options
 	// SimResult is a per-app simulation outcome set.
 	SimResult = sim.Result
 	// AppResult is the outcome for one application.
@@ -185,11 +179,11 @@ type (
 	Collector = sim.Collector
 )
 
-// Run simulates pol over the apps yielded by src: the
-// context-cancelable, sink-fed superset of Simulate. With no WithSink
-// option it returns the collected *SimResult (identical to
-// Simulate's); with sinks it returns (nil, nil) on success and
-// retains nothing per-app.
+// Run simulates pol over the apps yielded by src, context-cancelable
+// and sink-fed. With no WithSink option it returns the collected
+// *SimResult (a SourceFromTrace source takes the batch work-stealing
+// path); with sinks it returns (nil, nil) on success and retains
+// nothing per-app.
 func Run(ctx context.Context, src TraceSource, pol Policy, opts ...RunOption) (*SimResult, error) {
 	return sim.Run(ctx, src, pol, opts...)
 }
@@ -209,16 +203,6 @@ func WithSink(s ResultSink) RunOption { return sim.WithSink(s) }
 // NewCollector returns the default collecting sink, for explicit use
 // alongside other sinks.
 func NewCollector() *Collector { return sim.NewCollector() }
-
-// Simulate runs pol over tr with default options (batch entry point).
-func Simulate(tr *Trace, pol Policy) *SimResult {
-	return sim.Simulate(tr, pol, sim.Options{})
-}
-
-// SimulateOpts runs pol over tr with explicit options.
-func SimulateOpts(tr *Trace, pol Policy, opt SimOptions) *SimResult {
-	return sim.Simulate(tr, pol, opt)
-}
 
 // Streaming metrics sinks.
 type (
@@ -254,7 +238,7 @@ func NormalizedWastedMemory(r, baseline *SimResult) float64 {
 // discrete-event timeline over nodes with real capacity; warm
 // containers compete for memory and can be evicted, turning arrivals
 // the policy predicted warm into cold starts. With NodeMemMB == 0
-// (infinite) the outcome is bit-identical to Simulate.
+// (infinite) the outcome is bit-identical to Run.
 type (
 	// ClusterConfig describes the simulated cluster (nodes, per-node
 	// memory, placement).
@@ -284,11 +268,6 @@ type (
 	// vs eviction-induced as outcomes stream past.
 	ClusterAttributionSink = metrics.ClusterAttributionSink
 )
-
-// SimulateCluster runs pol over tr on the configured cluster.
-func SimulateCluster(tr *Trace, pol Policy, cfg ClusterConfig) *ClusterResult {
-	return cluster.Simulate(tr, pol, cfg)
-}
 
 // RunCluster is the source- and sink-plumbed cluster entry point: the
 // source is materialized (the timeline needs the whole workload), the
@@ -373,15 +352,9 @@ func ReplayContext(ctx context.Context, p *Platform, tr *Trace, opt ReplayOption
 	return replay.Replay(ctx, p, tr, opt)
 }
 
-// Replay is ReplayContext with a background context (pre-redesign
-// signature).
-func Replay(p *Platform, tr *Trace, opt ReplayOptions) (*ReplayReport, error) {
-	return replay.Replay(context.Background(), p, tr, opt)
-}
-
 // Serving control plane: the concurrent keep-alive decision service
-// (internal/serve), the record/replay loop for captured incident
-// bundles, and the soak harness. Where Platform is a whole in-process
+// (internal/serve), the Recorder that captures live traffic as a
+// trace, and the soak harness. Where Platform is a whole in-process
 // cluster, ServeController isolates just the decision component —
 // sharded, per-app-serialized, allocation-free in steady state — for
 // embedding into serving paths at production rates.
@@ -390,10 +363,8 @@ type (
 	ServeConfig = serve.Config
 	// ServeController is the concurrent keep-alive decision service.
 	ServeController = serve.Controller
-	// ServeRecorder captures a live invocation stream for bundling.
+	// ServeRecorder captures a live invocation stream as a trace.
 	ServeRecorder = serve.Recorder
-	// BundleMeta is an incident bundle's versioned JSON header.
-	BundleMeta = serve.BundleMeta
 	// SoakConfig parameterizes a serving soak run.
 	SoakConfig = serve.SoakConfig
 	// SoakResult reports a soak's decision-latency percentiles and
@@ -410,31 +381,10 @@ func NewServeController(pol Policy, cfg ServeConfig) *ServeController {
 }
 
 // NewServeRecorder returns a recorder anchored at epoch; feed it from
-// a serving path (or PlatformConfig.Recorder) and write the captured
-// stream out with WriteBundle for later what-if replay.
+// a serving path (or PlatformConfig.Recorder), then save its Trace
+// with trace.WriteBinary and replay the file as a "tracec:" scenario
+// source for what-if policy comparisons.
 func NewServeRecorder(epoch time.Time) *ServeRecorder { return serve.NewRecorder(epoch) }
-
-// WriteTraceBundle writes tr as a versioned incident bundle (JSON
-// header + dataset-codec invocation rows).
-func WriteTraceBundle(w io.Writer, name string, tr *Trace) error {
-	return serve.WriteTraceBundle(w, name, tr)
-}
-
-// ReadBundle parses an incident bundle into its header and a
-// materialized trace.
-func ReadBundle(r io.Reader) (BundleMeta, *Trace, error) { return serve.ReadBundle(r) }
-
-// StreamBundle opens an incident bundle as a constant-memory trace
-// source (also available as the "bundle:path" scenario source).
-func StreamBundle(r io.Reader) (BundleMeta, TraceSource, error) { return serve.StreamBundle(r) }
-
-// ReplayBundle re-simulates a captured incident bundle against
-// candidate policy specs — one sweep cell per spec, default coldstart
-// and waste sinks — answering "which policy would have held up under
-// this traffic?".
-func ReplayBundle(ctx context.Context, r io.Reader, policySpecs []string, opts ...ScenarioOption) (*SweepReport, BundleMeta, error) {
-	return replay.ReplayBundle(ctx, r, policySpecs, opts...)
-}
 
 // RunSoak drives a fresh decision service at sustained concurrency
 // and reports decision-latency percentiles and throughput (the
@@ -457,12 +407,6 @@ type (
 // replay.
 func RunExperimentsContext(ctx context.Context, cfg ExperimentConfig, progress io.Writer) ([]*Figure, error) {
 	return experiments.RunAll(ctx, cfg, progress)
-}
-
-// RunExperiments is RunExperimentsContext with a background context
-// (pre-redesign signature).
-func RunExperiments(cfg ExperimentConfig, progress io.Writer) ([]*Figure, error) {
-	return experiments.RunAll(context.Background(), cfg, progress)
 }
 
 // RenderFigures writes text renderings of figures to w.

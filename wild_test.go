@@ -7,6 +7,16 @@ import (
 	"time"
 )
 
+// simulate runs pol over an in-memory trace (Run's batch path).
+func simulate(t *testing.T, tr *Trace, pol Policy) *SimResult {
+	t.Helper()
+	res, err := Run(context.Background(), SourceFromTrace(tr), pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestEndToEndSimulation exercises the public facade: generate,
 // simulate two policies, compare metrics.
 func TestEndToEndSimulation(t *testing.T) {
@@ -21,8 +31,8 @@ func TestEndToEndSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fixed := Simulate(pop.Trace, FixedKeepAlive{KeepAlive: 10 * time.Minute})
-	hybrid := Simulate(pop.Trace, NewHybrid(DefaultHybridConfig()))
+	fixed := simulate(t, pop.Trace, FixedKeepAlive{KeepAlive: 10 * time.Minute})
+	hybrid := simulate(t, pop.Trace, NewHybrid(DefaultHybridConfig()))
 
 	if fixed.TotalInvocations() != hybrid.TotalInvocations() {
 		t.Fatal("policies saw different invocation counts")
@@ -59,8 +69,8 @@ func TestEndToEndCSVRoundTrip(t *testing.T) {
 	if back.TotalInvocations() != pop.Trace.TotalInvocations() {
 		t.Fatal("invocation count changed in round trip")
 	}
-	orig := Simulate(pop.Trace, FixedKeepAlive{KeepAlive: 30 * time.Minute})
-	rt := Simulate(back, FixedKeepAlive{KeepAlive: 30 * time.Minute})
+	orig := simulate(t, pop.Trace, FixedKeepAlive{KeepAlive: 30 * time.Minute})
+	rt := simulate(t, back, FixedKeepAlive{KeepAlive: 30 * time.Minute})
 	oc, rc := orig.TotalColdStarts(), rt.TotalColdStarts()
 	diff := oc - rc
 	if diff < 0 {
@@ -87,7 +97,7 @@ func TestEndToEndPlatform(t *testing.T) {
 	}, NewHybrid(DefaultHybridConfig()))
 	defer p.Stop()
 
-	rep, err := Replay(p, pop.Trace, ReplayOptions{Limit: 20 * time.Minute})
+	rep, err := ReplayContext(context.Background(), p, pop.Trace, ReplayOptions{Limit: 20 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestRunExperimentsFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure pipeline")
 	}
-	figs, err := RunExperiments(ExperimentConfig{
+	figs, err := RunExperimentsContext(context.Background(), ExperimentConfig{
 		Seed: 8, NumApps: 60, Duration: 24 * time.Hour,
 		MaxDailyRate: 300, MaxEventsPerFunction: 1000,
 		SkipPlatform: true,
@@ -138,9 +148,9 @@ func TestEndToEndStreamingAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Simulate(pop.Trace, pol)
+	want := simulate(t, pop.Trace, pol)
 
-	// Generator source, no sinks: identical to batch Simulate.
+	// Generator source, no sinks: identical to the in-memory batch run.
 	src, err := GeneratorSource(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +164,7 @@ func TestEndToEndStreamingAPI(t *testing.T) {
 	}
 	for i := range want.Apps {
 		if got.Apps[i] != want.Apps[i] {
-			t.Fatalf("app %d differs between generator-source Run and Simulate", i)
+			t.Fatalf("app %d differs between generator-source and in-memory Run", i)
 		}
 	}
 
