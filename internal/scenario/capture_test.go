@@ -86,3 +86,42 @@ func TestRecordedCaptureReplaysBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestBundleSourceInScenario runs one scenario cell over a recorded
+// capture named by a "tracec:" source and checks it matches the same
+// cell over the recorder's in-memory trace, metric for metric.
+func TestBundleSourceInScenario(t *testing.T) {
+	rec := recordStream(42)
+	tr := rec.Trace(0)
+	path := filepath.Join(t.TempDir(), "incident.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteBinary(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunScenario(context.Background(), Scenario{
+		Source: "tracec:" + path,
+		Policy: "fixed?ka=10m",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunScenario(context.Background(), Scenario{Policy: "fixed?ka=10m"}, WithFixedTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm, wm := got.Metrics(), want.Metrics()
+	if len(gm) == 0 || len(gm) != len(wm) {
+		t.Fatalf("metrics %d vs %d", len(gm), len(wm))
+	}
+	for i := range gm {
+		if gm[i] != wm[i] {
+			t.Fatalf("metric %s: capture %v, fixed-trace %v", gm[i].Name, gm[i].Value, wm[i].Value)
+		}
+	}
+}

@@ -89,6 +89,29 @@ func TestBundleRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBundleHorizonTruncates pins the horizon rule on a hand-made
+// capture: Trace(5m) written as WILDTRC1 and read back spans exactly
+// five minutes and keeps the event at 30 s but not the one at 10 min.
+func TestBundleHorizonTruncates(t *testing.T) {
+	rec := serve.NewRecorder(time.Unix(0, 0).UTC())
+	rec.Record("a", "a-fn", rec.Epoch().Add(30*time.Second))
+	rec.Record("a", "a-fn", rec.Epoch().Add(10*time.Minute))
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, rec.Trace(5*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Duration != 5*time.Minute || tr.TotalInvocations() != 1 {
+		t.Fatalf("decoded %v / %d invocations, want 5m / 1", tr.Duration, tr.TotalInvocations())
+	}
+	if got := tr.Apps[0].Functions[0].Invocations; len(got) != 1 || got[0] >= 60 {
+		t.Fatalf("invocations = %v, want exactly the pre-horizon event", got)
+	}
+}
+
 func sameTrace(t *testing.T, got, want *trace.Trace) {
 	t.Helper()
 	if got.Duration != want.Duration {
